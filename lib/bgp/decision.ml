@@ -42,10 +42,27 @@ let best entries =
            (fun acc e -> if compare_entries e acc > 0 then e else acc)
            first rest)
 
-let best_in_table table =
-  Asn.Table.fold
-    (fun _ e acc ->
-      match acc with
-      | None -> Some e
-      | Some cur -> if compare_entries e cur > 0 then Some e else acc)
-    table None
+(* A physically unique entry no import can produce: [==] against it is
+   the "no candidate" test, so a slot array holds plain entries with no
+   option box per slot. *)
+let vacant =
+  Route.make_entry
+    ~ann:
+      (Route.announcement
+         ~prefix:(Prefix.make (Ipv4.of_octets 0 0 0 0) 0)
+         ~path:(As_path.plain ~origin:(Asn.of_int 0))
+         ())
+    ~neighbor:(Asn.of_int 0) ~rel:Topology.Relationship.Provider ~local_pref:min_int
+    ~learned_at:0.0 ()
+
+let best_slots ?eligible slots =
+  let best = ref vacant in
+  for i = 0 to Array.length slots - 1 do
+    let e = slots.(i) in
+    if
+      e != vacant
+      && (match eligible with None -> true | Some ok -> ok i)
+      && (!best == vacant || compare_entries e !best > 0)
+    then best := e
+  done;
+  if !best == vacant then None else Some !best

@@ -14,8 +14,6 @@
     comparisons read the cached [path_len] and [tiebreak] fields instead
     of recomputing path length and a hash per comparison. *)
 
-open Net
-
 val compare_entries : Route.entry -> Route.entry -> int
 (** [compare_entries a b > 0] when [a] is preferred over [b]. Total order
     over candidate entries for one prefix (entries built with the same
@@ -28,5 +26,13 @@ val best : Route.entry list -> Route.entry option
     is what makes real forward and reverse routes asymmetric. Entries
     built without a salt fall back to lowest-neighbor-ASN. *)
 
-val best_in_table : Route.entry Asn.Table.t -> Route.entry option
-(** Most preferred entry among a neighbor-indexed table of candidates. *)
+val vacant : Route.entry
+(** The empty-slot sentinel of a slot-indexed candidate array (one slot
+    per neighbor session, see {!Speaker}). Compared physically ([==]);
+    never a real candidate. *)
+
+val best_slots : ?eligible:(int -> bool) -> Route.entry array -> Route.entry option
+(** Most preferred non-{!vacant} entry of a slot array whose slot index
+    satisfies [eligible] (default: every slot), scanning in slot order.
+    Equal to {!best} over the eligible entries listed in slot order —
+    which matters only when MEDs make {!compare_entries} intransitive. *)

@@ -18,23 +18,6 @@ type update_record = {
   route : Route.entry option;
 }
 
-type session = {
-  mutable last_sent : float;  (** When we last put updates on this session. *)
-  pending : Speaker.action Prefix.Table.t;
-      (* Keyed on Prefix.hash/equal; the MRAI flush sorts the batch by
-         Prefix.compare, so batch emission order is fixed by the prefixes
-         themselves rather than by hash-bucket iteration order. *)
-  mutable timer_armed : bool;
-  jittered_mrai : float;
-}
-
-module Asn_pair_tbl = Hashtbl.Make (struct
-  type t = Asn.t * Asn.t
-
-  let equal (a1, b1) (a2, b2) = Asn.equal a1 a2 && Asn.equal b1 b2
-  let hash (a, b) = ((Asn.hash a * 0x9E3779B1) lxor Asn.hash b) land max_int
-end)
-
 module Peer_prefix_tbl = Hashtbl.Make (struct
   type t = Asn.t * Prefix.t
 
@@ -63,16 +46,29 @@ type collector_state = {
   csharded : bool;
 }
 
-(* A cross-window BGP update: emitted into its source shard's outbox
-   during a barrier window, exchanged at the barrier, and injected into
-   the destination shard's engine in canonical order. *)
-type boundary_msg = {
-  b_arrival : float;
-  b_from : Asn.t;
-  b_to : Asn.t;
-  b_src_shard : int;
-  b_dst_shard : int;
-  b_action : Speaker.action;
+(* One directed session [src -> dst]: the sender's MRAI pacing state and
+   where its updates land. [dst_slot] is the receiver's slot for [src],
+   so a delivery indexes the receiving speaker's RIB directly. *)
+type session = {
+  src : node;
+  dst : node;
+  dst_slot : int;
+  mutable last_sent : float;  (** When we last put updates on this session. *)
+  pending : Speaker.action Prefix.Table.t;
+      (* Keyed on Prefix.hash/equal; the MRAI flush sorts the batch by
+         Prefix.compare, so batch emission order is fixed by the prefixes
+         themselves rather than by hash-bucket iteration order. *)
+  mutable timer_armed : bool;
+  jittered_mrai : float;
+}
+
+(* One AS: its speaker, its shard and its outgoing sessions, indexed by
+   the speaker's neighbor slot — the slots {!Speaker.out} addresses. *)
+and node = {
+  asn : Asn.t;
+  sp : Speaker.t;
+  home : shard_state;
+  mutable sessions : session array;
 }
 
 (* The per-shard slice of the world: its own event queue, path interner
@@ -81,7 +77,7 @@ type boundary_msg = {
    control domain while every shard is quiescent, so no two domains ever
    race on it. Legacy networks are a single shard whose engine IS the
    control engine. *)
-type shard_state = {
+and shard_state = {
   six : int;
   sengine : Sim.Engine.t;
   sstore : Path_store.t;
@@ -92,17 +88,21 @@ type shard_state = {
   mutable outbox_n : int;
 }
 
+(* A cross-window BGP update: emitted into its source shard's outbox
+   during a barrier window, exchanged at the barrier, and injected into
+   the destination shard's engine in canonical order. *)
+and boundary_msg = { b_arrival : float; b_session : session; b_action : Speaker.action }
+
 type t = {
   engine : Sim.Engine.t;  (** the control engine *)
   graph : As_graph.t;
-  speakers : Speaker.t Asn.Table.t;
+  nodes : node Asn.Table.t;
   store : Path_store.t;
       (** The control-side path/announcement interner ({!announce} paths
           live here). In legacy mode it is also the single shard's store,
           shared by every speaker; in sharded mode each shard has its own
           interner and paths are re-interned on shard entry. *)
   delay_of : Asn.t -> Asn.t -> float;
-  sessions : session Asn_pair_tbl.t;  (** keyed (from, to) *)
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
@@ -146,10 +146,12 @@ let default_delay a b = 0.05 +. (0.2 *. pair_hash a b)
 let engine t = t.engine
 let graph t = t.graph
 
-let speaker t asn =
-  match Asn.Table.find_opt t.speakers asn with
-  | Some sp -> sp
+let node t asn =
+  match Asn.Table.find_opt t.nodes asn with
+  | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
+
+let speaker t asn = (node t asn).sp
 
 let path_store t = t.store
 let shards t = Array.length t.shards
@@ -165,7 +167,6 @@ let shard_ix t asn =
   end
 
 let shard_of_asn = shard_ix
-let shard_for t asn = t.shards.(shard_ix t asn)
 
 let barrier_count t =
   match t.barrier with Some b -> Shard.Barrier.barriers b | None -> 0
@@ -186,21 +187,15 @@ let sync t =
 
 let poke t = match t.barrier with None -> () | Some b -> Shard.Barrier.poke b
 
-let session t a b =
-  match Asn_pair_tbl.find_opt t.sessions (a, b) with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Network: no session %s -> %s" (Asn.to_string a) (Asn.to_string b))
-
 let action_prefix = function
   | Speaker.Announce ann -> ann.Route.prefix
   | Speaker.Withdraw p -> p
 
-(* Forward declaration to tie the delivery/emission knot. [sh] is always
-   the shard owning the acting speaker: the destination's for [deliver],
-   the sender's for [emit]/[schedule_delivery]. *)
-let rec deliver t sh ~from ~to_ action =
+(* Forward declaration to tie the delivery/emission knot. A delivery runs
+   on the receiver's shard, an emission on the sender's. *)
+let rec deliver t s action =
+  let dst = s.dst in
+  let sh = dst.home in
   sh.s_delivered <- sh.s_delivered + 1;
   let now = Sim.Engine.now sh.sengine in
   record_delivery sh now;
@@ -213,29 +208,23 @@ let rec deliver t sh ~from ~to_ action =
     in
     Obs.Trace.event ~ts:now ~span:"bgp.deliver"
       [
-        ("from", Obs.Trace.Int (Asn.to_int from));
-        ("to", Obs.Trace.Int (Asn.to_int to_));
+        ("from", Obs.Trace.Int (Asn.to_int s.src.asn));
+        ("to", Obs.Trace.Int (Asn.to_int dst.asn));
         ("prefix", Obs.Trace.Str (Prefix.to_string prefix));
         ("kind", Obs.Trace.Str kind);
       ]
   end;
-  let out = Speaker.receive (speaker t to_) ~now ~from action in
-  emit_all t to_ out
+  emit_all t dst (Speaker.receive dst.sp ~now ~slot:s.dst_slot action)
 
-and emit_all t from out =
-  match out with
-  | [] -> ()
-  | _ ->
-      let sh = shard_for t from in
-      List.iter (fun (to_, action) -> emit t sh ~from ~to_ action) out
+and emit_all t node out = List.iter (fun (slot, action) -> emit t node.sessions.(slot) action) out
 
-and emit t sh ~from ~to_ action =
-  let s = session t from to_ in
+and emit t s action =
+  let sh = s.src.home in
   let now = Sim.Engine.now sh.sengine in
   let prefix = action_prefix action in
   if now -. s.last_sent >= s.jittered_mrai && Prefix.Table.length s.pending = 0 then begin
     s.last_sent <- now;
-    schedule_delivery t sh ~from ~to_ action
+    schedule_delivery t s action
   end
   else begin
     (* Coalesce: only the latest state per prefix matters. *)
@@ -258,16 +247,17 @@ and emit t sh ~from ~to_ action =
           if Obs.Trace.on () then
             Obs.Trace.event ~ts:(Sim.Engine.now sh.sengine) ~span:"bgp.mrai"
               [
-                ("from", Obs.Trace.Int (Asn.to_int from));
-                ("to", Obs.Trace.Int (Asn.to_int to_));
+                ("from", Obs.Trace.Int (Asn.to_int s.src.asn));
+                ("to", Obs.Trace.Int (Asn.to_int s.dst.asn));
                 ("batch", Obs.Trace.Int (List.length batch));
               ];
-          List.iter (fun action -> schedule_delivery t sh ~from ~to_ action) batch)
+          List.iter (fun action -> schedule_delivery t s action) batch)
     end
   end
 
-and schedule_delivery t sh ~from ~to_ action =
-  let delay = t.delay_of from to_ in
+and schedule_delivery t s action =
+  let sh = s.src.home in
+  let delay = t.delay_of s.src.asn s.dst.asn in
   (match action with
   | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
   | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent);
@@ -278,7 +268,7 @@ and schedule_delivery t sh ~from ~to_ action =
         sh.s_bgp_events <- sh.s_bgp_events + 1;
         Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
             sh.s_bgp_events <- sh.s_bgp_events - 1;
-            deliver t sh ~from ~to_ action)
+            deliver t s action)
     | Some _ ->
         (* Sharded: every delivery — intra-shard included — goes through
            the barrier outbox, so arrival order at each speaker is the
@@ -287,14 +277,7 @@ and schedule_delivery t sh ~from ~to_ action =
            counts; the outbox ordering is what makes --shards K
            byte-identical for every K. *)
         sh.outbox <-
-          {
-            b_arrival = Sim.Engine.now sh.sengine +. delay;
-            b_from = from;
-            b_to = to_;
-            b_src_shard = sh.six;
-            b_dst_shard = shard_ix t to_;
-            b_action = action;
-          }
+          { b_arrival = Sim.Engine.now sh.sengine +. delay; b_session = s; b_action = action }
           :: sh.outbox;
         sh.outbox_n <- sh.outbox_n + 1
   in
@@ -306,7 +289,7 @@ and schedule_delivery t sh ~from ~to_ action =
          lost (the far side keeps whatever it had), a duplicated one
          arrives twice with the copy trailing by half a propagation
          delay. *)
-      match verdict ~from ~to_ with
+      match verdict ~from:s.src.asn ~to_:s.dst.asn with
       | `Deliver -> send ~delay
       | `Drop -> ()
       | `Duplicate ->
@@ -319,11 +302,11 @@ and schedule_delivery t sh ~from ~to_ action =
    destination speaker re-interns the announcement into its own shard's
    store on receive ([Speaker.receive] -> [Path_store.intern_ann]). *)
 let inject_boundary t msg =
-  let sh = t.shards.(msg.b_dst_shard) in
+  let sh = msg.b_session.dst.home in
   sh.s_bgp_events <- sh.s_bgp_events + 1;
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
-      deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
+      deliver t msg.b_session msg.b_action)
 
 let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
     ?(fib_install_delay = 0.0) ?shards:shard_count ?shard_pool
@@ -364,27 +347,46 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
                 (Path_store.create ())),
           Partition.cut_edges part )
   in
-  let speakers = Asn.Table.create 256 in
+  let nodes = Asn.Table.create 256 in
   List.iter
     (fun asn ->
-      let sstore =
-        if Array.length shard_states = 1 then store
-        else shard_states.(Asn.Table.find shard_ix_tbl asn).sstore
+      let home =
+        if Array.length shard_states = 1 then shard_states.(0)
+        else shard_states.(Asn.Table.find shard_ix_tbl asn)
       in
       let sp =
-        Speaker.create ~store:sstore ~asn ~config:(config_of asn)
+        Speaker.create ~store:home.sstore ~asn ~config:(config_of asn)
           ~neighbors:(As_graph.neighbors graph asn) ()
       in
-      Asn.Table.replace speakers asn sp)
+      Asn.Table.replace nodes asn { asn; sp; home; sessions = [||] })
     ases;
+  (* Session pacing state per directed adjacency, in the sender's slot
+     order. *)
+  Asn.Table.iter
+    (fun _ src ->
+      src.sessions <-
+        Array.of_list
+          (List.map
+             (fun (b, _) ->
+               let dst = Asn.Table.find nodes b in
+               {
+                 src;
+                 dst;
+                 dst_slot = Speaker.slot_of dst.sp src.asn;
+                 last_sent = neg_infinity;
+                 pending = Prefix.Table.create 4;
+                 timer_armed = false;
+                 jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash src.asn b));
+               })
+             (Speaker.neighbors src.sp)))
+    nodes;
   let t =
     {
       engine;
       graph;
-      speakers;
+      nodes;
       store;
       delay_of;
-      sessions = Asn_pair_tbl.create 1024;
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
       owner_trie = Prefix_trie.empty;
@@ -426,13 +428,13 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
               msgs);
           inject = (fun msg -> inject_boundary t msg);
           arrival = (fun msg -> msg.b_arrival);
-          src_shard = (fun msg -> msg.b_src_shard);
-          dst_shard = (fun msg -> msg.b_dst_shard);
+          src_shard = (fun msg -> msg.b_session.src.home.six);
+          dst_shard = (fun msg -> msg.b_session.dst.home.six);
           order =
             (fun m1 m2 ->
-              match Asn.compare m1.b_from m2.b_from with
+              match Asn.compare m1.b_session.src.asn m2.b_session.src.asn with
               | 0 -> begin
-                  match Asn.compare m1.b_to m2.b_to with
+                  match Asn.compare m1.b_session.dst.asn m2.b_session.dst.asn with
                   | 0 -> Prefix.compare (action_prefix m1.b_action) (action_prefix m2.b_action)
                   | c -> c
                 end
@@ -448,8 +450,8 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
   (* Collector instrumentation: every speaker reports loc-RIB changes
      into its own shard's collector slice. *)
   Asn.Table.iter
-    (fun asn sp ->
-      let sh = shard_for t asn in
+    (fun asn node ->
+      let sp = node.sp and sh = node.home in
       Speaker.set_on_best_change sp (fun ~now prefix route ->
           List.iter
             (fun c ->
@@ -467,7 +469,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
           Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
               sh.s_bgp_events <- sh.s_bgp_events - 1;
               let out = Speaker.reevaluate sp ~now:(Sim.Engine.now sh.sengine) prefix in
-              emit_all t asn out));
+              emit_all t node out));
       if fib_install_delay > 0.0 then begin
         (* The data plane trails the control plane by a deterministic
            per-AS RIB-to-FIB install latency. *)
@@ -478,21 +480,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
             Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
                 Speaker.install_fib sp prefix route))
       end)
-    speakers;
-  (* Session pacing state per directed adjacency. *)
-  List.iter
-    (fun a ->
-      List.iter
-        (fun (b, _) ->
-          Asn_pair_tbl.replace t.sessions (a, b)
-            {
-              last_sent = neg_infinity;
-              pending = Prefix.Table.create 4;
-              timer_armed = false;
-              jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash a b));
-            })
-        (As_graph.neighbors graph a))
-    ases;
+    nodes;
   t
 
 let set_shard_pool t pool =
@@ -512,10 +500,8 @@ let announce t ~origin ~prefix ?per_neighbor () =
   Prefix.Table.replace t.owners prefix origin;
   t.originations <- Prefix.Map.add prefix per_neighbor t.originations;
   t.owner_trie <- Prefix_trie.add prefix origin t.owner_trie;
-  let out =
-    Speaker.originate (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor
-  in
-  emit_all t origin out;
+  let n = node t origin in
+  emit_all t n (Speaker.originate n.sp ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor);
   poke t
 
 let withdraw t ~origin ~prefix =
@@ -523,14 +509,14 @@ let withdraw t ~origin ~prefix =
   Prefix.Table.remove t.owners prefix;
   t.originations <- Prefix.Map.remove prefix t.originations;
   t.owner_trie <- Prefix_trie.remove prefix t.owner_trie;
-  let out = Speaker.stop_originating (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix in
-  emit_all t origin out;
+  let n = node t origin in
+  emit_all t n (Speaker.stop_originating n.sp ~now:(Sim.Engine.now t.engine) ~prefix);
   poke t
 
 let refresh t ~origin ~prefix =
   sync t;
-  let out = Speaker.refresh_prefix (speaker t origin) ~prefix in
-  emit_all t origin out;
+  let n = node t origin in
+  emit_all t n (Speaker.refresh_prefix n.sp ~prefix);
   poke t
 
 let owner t prefix = Prefix.Table.find_opt t.owners prefix
@@ -563,19 +549,21 @@ let run_until_quiet ?(timeout = 3600.0) t =
 let fail_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
-  let out_a = Speaker.session_down (speaker t a) ~now ~neighbor:b in
-  let out_b = Speaker.session_down (speaker t b) ~now ~neighbor:a in
-  emit_all t a out_a;
-  emit_all t b out_b;
+  let na = node t a and nb = node t b in
+  let out_a = Speaker.session_down na.sp ~now ~neighbor:b in
+  let out_b = Speaker.session_down nb.sp ~now ~neighbor:a in
+  emit_all t na out_a;
+  emit_all t nb out_b;
   poke t
 
 let restore_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
-  let out_a = Speaker.session_up (speaker t a) ~now ~neighbor:b in
-  let out_b = Speaker.session_up (speaker t b) ~now ~neighbor:a in
-  emit_all t a out_a;
-  emit_all t b out_b;
+  let na = node t a and nb = node t b in
+  let out_a = Speaker.session_up na.sp ~now ~neighbor:b in
+  let out_b = Speaker.session_up nb.sp ~now ~neighbor:a in
+  emit_all t na out_a;
+  emit_all t nb out_b;
   poke t
 
 let fail_node t asn =
@@ -596,21 +584,21 @@ let owned_prefixes t asn =
    included), as a router reloading its config would. *)
 let crash_node t asn =
   fail_node t asn;
-  let sp = speaker t asn in
+  let n = node t asn in
   let now = Sim.Engine.now t.engine in
   List.iter
-    (fun prefix -> emit_all t asn (Speaker.stop_originating sp ~now ~prefix))
-    (Speaker.originated sp);
+    (fun prefix -> emit_all t n (Speaker.stop_originating n.sp ~now ~prefix))
+    (Speaker.originated n.sp);
   poke t
 
 let reoriginate t asn =
   sync t;
-  let sp = speaker t asn in
+  let n = node t asn in
   let now = Sim.Engine.now t.engine in
   List.iter
     (fun prefix ->
       match Prefix.Map.find_opt prefix t.originations with
-      | Some per_neighbor -> emit_all t asn (Speaker.originate sp ~now ~prefix ~per_neighbor)
+      | Some per_neighbor -> emit_all t n (Speaker.originate n.sp ~now ~prefix ~per_neighbor)
       | None -> ())
     (owned_prefixes t asn);
   poke t

@@ -35,7 +35,7 @@ let default =
   }
 
 let local_pref_for config ~self ~neighbor ~rel =
-  match List.assoc_opt neighbor (List.map (fun (a, p) -> (a, p)) config.local_pref_override) with
+  match List.assoc_opt neighbor config.local_pref_override with
   | Some pref -> pref
   | None ->
       (* Explicit integer mix, not the polymorphic [Hashtbl.hash], so the
@@ -50,16 +50,16 @@ let local_pref_for config ~self ~neighbor ~rel =
       in
       Relationship.local_pref rel + jitter
 
-type import_verdict = Accepted of int | Rejected of string
+type import_verdict = Accepted | Rejected of string
 
-let import config ~self ~peers_of_self ~neighbor ~rel (ann : Route.announcement) =
+let import config ~self ~peers_of_self ~rel (ann : Route.announcement) =
   if As_path.count self ann.path >= config.loop_limit then Rejected "loop detected"
   else if
     config.reject_peers_in_customer_paths
     && Relationship.equal rel Relationship.Customer
     && As_path.exists (fun a -> Asn.Set.mem a peers_of_self) ann.path
   then Rejected "peer AS in customer-announced path"
-  else Accepted (local_pref_for config ~self ~neighbor ~rel)
+  else Accepted
 
 (* Export is split into the per-neighbor predicate [export_allowed] and the
    neighbor-independent rewrite [export_ann], so a speaker syncing one

@@ -68,21 +68,22 @@ val local_pref_for : config -> self:Asn.t -> neighbor:Asn.t -> rel:Relationship.
 (** The local preference assigned to a route from this neighbor,
     including the configured jitter. *)
 
-type import_verdict = Accepted of int | Rejected of string
-(** [Accepted local_pref], or a rejection with the reason (for logs and
-    tests). *)
+type import_verdict = Accepted | Rejected of string
+(** Acceptance, or a rejection with the reason (for logs and tests). An
+    accepted route's preference is {!local_pref_for} its session, which
+    does not depend on the announcement, so a speaker computes it once
+    per neighbor. *)
 
 val import :
   config ->
   self:Asn.t ->
   peers_of_self:Asn.Set.t ->
-  neighbor:Asn.t ->
   rel:Relationship.t ->
   Route.announcement ->
   import_verdict
-(** Import policy for an announcement received from [neighbor]. Checks
-    loop prevention against [loop_limit], then the Cogent quirk against
-    [peers_of_self]. *)
+(** Import policy for an announcement received over a session of
+    relationship [rel]. Checks loop prevention against [loop_limit], then
+    the Cogent quirk against [peers_of_self]. *)
 
 val export_allowed :
   config ->

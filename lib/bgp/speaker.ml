@@ -1,20 +1,23 @@
 open Net
 open Topology
 
-(* Decision-process invocations and the loc-RIB size high-watermark
-   (Obs). The gauge is a max, not a last-write: a max merges across
-   domain shards independently of trial scheduling, which keeps the
-   --metrics summary byte-identical for every --jobs value. *)
+(* Decision-process invocations, the full candidate scans among them,
+   and the loc-RIB size high-watermark (Obs). The gauge is a max, not a
+   last-write: a max merges across domain shards independently of trial
+   scheduling, which keeps the --metrics summary byte-identical for every
+   --jobs value. *)
 let m_decisions = Obs.Metrics.counter "bgp.decisions"
+let m_scans = Obs.Metrics.counter "bgp.decision.scans"
 let m_loc_rib = Obs.Metrics.gauge "bgp.loc_rib"
 
 type action = Announce of Route.announcement | Withdraw of Prefix.t
+type out = (int * action) list
 
 type origination = {
   per_neighbor : Asn.t -> As_path.t option;
   local_ann : Route.announcement;
       (* The interned loc-RIB announcement ([self] plain path), built once
-         at [originate] so every [compute_best] reuses the same physical
+         at [originate] so every [select] reuses the same physical
          value and the refresh change-check settles on [==]. *)
 }
 
@@ -27,29 +30,45 @@ end
 
 module Damp_tbl = Hashtbl.Make (Damp_key)
 
+(* One neighbor session, at the dense index ("slot") it got at [create].
+   Everything the per-update path needs about the neighbor sits here, so
+   a delivery never hashes an ASN. *)
+type slot = {
+  nbr : Asn.t;
+  rel : Relationship.t;  (** What the neighbor is to us. *)
+  import_pref : int;
+      (** {!Policy.local_pref_for} this session: it depends only on the
+          config, [self], the neighbor and [rel], so it is computed once. *)
+  mutable down : bool;
+}
+
+(* Everything a speaker holds for one prefix. [cand] and [out] are
+   slot-indexed: the adj-RIB-in ([Decision.vacant] = no candidate) and
+   the adj-RIB-out ([no_ann] = nothing sent). *)
+type rib = {
+  prefix : Prefix.t;
+  withdraw : action;  (** The prefix's [Withdraw], shared by every update. *)
+  cand : Route.entry array;
+  out : Route.announcement array;
+  mutable best : Route.entry option;  (** The loc-RIB entry. *)
+  mutable local : origination option;
+}
+
 type t = {
   self : Asn.t;
   config : Policy.config;
   store : Path_store.t;
       (* The world's interner: shared with every other speaker of the same
          [Network], never across worlds (share-nothing). *)
-  neighbor_rel : Relationship.t Asn.Table.t;
-  neighbor_list : (Asn.t * Relationship.t) list ref;
-  peers_of_self : Asn.Set.t ref;
-  down_sessions : unit Asn.Table.t;
-  adj_in : Route.entry Asn.Table.t Prefix.Table.t;
-      (** prefix -> (neighbor -> candidate route) *)
-  neighbor_index : unit Prefix.Table.t Asn.Table.t;
-      (** Reverse index of [adj_in]: neighbor -> prefixes it currently has a
-          candidate for. Kept exactly in sync so [affected_prefixes] and
-          [session_down] never fold the whole adj-RIB-in. *)
-  locals : origination Prefix.Table.t;
-  best_table : Route.entry Prefix.Table.t;
+  slots : slot array;  (** In the order [create] got the neighbors. *)
+  slot_ix : int Asn.Table.t;  (** Neighbor -> slot, for the ASN-keyed entry points. *)
+  peers_of_self : Asn.Set.t;
+  ribs : rib Prefix.Table.t;
+  mutable loc_rib_size : int;  (** Ribs with a best route. *)
+  mutable med_seen : bool;
+      (** Some accepted candidate ever carried a MED; from then on every
+          decision scans (see [select]). *)
   mutable fib : Route.entry Prefix_trie.t;
-  adj_out : Route.announcement Prefix.Table.t Asn.Table.t;
-      (** Per-neighbor adj-RIB-out index: neighbor -> (prefix -> last sent).
-          Keyed by neighbor first so [session_down] clears one sub-table
-          instead of walking [best_table] + [locals]. *)
   mutable on_best_change : (now:float -> Prefix.t -> Route.entry option -> unit) option;
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
   damp : damp_state Damp_tbl.t;
@@ -58,9 +77,24 @@ type t = {
 
 and damp_state = { mutable penalty : float; mutable last : float; mutable suppressed : bool }
 
+(* The adj-RIB-out's "nothing sent" sentinel, compared with [==]. *)
+let no_ann = Decision.vacant.Route.ann
+
 let create ?store ~asn ~config ~neighbors () =
-  let neighbor_rel = Asn.Table.create 16 in
-  List.iter (fun (n, rel) -> Asn.Table.replace neighbor_rel n rel) neighbors;
+  let slots =
+    Array.of_list
+      (List.map
+         (fun (nbr, rel) ->
+           {
+             nbr;
+             rel;
+             import_pref = Policy.local_pref_for config ~self:asn ~neighbor:nbr ~rel;
+             down = false;
+           })
+         neighbors)
+  in
+  let slot_ix = Asn.Table.create (Array.length slots) in
+  Array.iteri (fun i s -> Asn.Table.replace slot_ix s.nbr i) slots;
   let peers =
     List.fold_left
       (fun acc (n, rel) ->
@@ -71,16 +105,13 @@ let create ?store ~asn ~config ~neighbors () =
     self = asn;
     config;
     store = (match store with Some s -> s | None -> Path_store.create ());
-    neighbor_rel;
-    neighbor_list = ref neighbors;
-    peers_of_self = ref peers;
-    down_sessions = Asn.Table.create 4;
-    adj_in = Prefix.Table.create 64;
-    neighbor_index = Asn.Table.create 16;
-    locals = Prefix.Table.create 4;
-    best_table = Prefix.Table.create 16;
+    slots;
+    slot_ix;
+    peers_of_self = peers;
+    ribs = Prefix.Table.create 16;
+    loc_rib_size = 0;
+    med_seen = false;
     fib = Prefix_trie.empty;
-    adj_out = Asn.Table.create 16;
     on_best_change = None;
     fib_commit = None;
     damp = Damp_tbl.create 16;
@@ -90,10 +121,38 @@ let create ?store ~asn ~config ~neighbors () =
 let asn t = t.self
 let config t = t.config
 let path_store t = t.store
-let neighbors t = !(t.neighbor_list)
+let neighbors t = Array.to_list (Array.map (fun s -> (s.nbr, s.rel)) t.slots)
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
 let set_fib_commit_hook t f = t.fib_commit <- Some f
+
+let slot_of t n =
+  match Asn.Table.find_opt t.slot_ix n with
+  | Some i -> i
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Speaker %s: unknown neighbor %s" (Asn.to_string t.self)
+           (Asn.to_string n))
+
+let neighbor_at t i = t.slots.(i).nbr
+
+let rib_for t prefix =
+  match Prefix.Table.find_opt t.ribs prefix with
+  | Some rib -> rib
+  | None ->
+      let n = Array.length t.slots in
+      let rib =
+        {
+          prefix;
+          withdraw = Withdraw prefix;
+          cand = Array.make n Decision.vacant;
+          out = Array.make n no_ann;
+          best = None;
+          local = None;
+        }
+      in
+      Prefix.Table.replace t.ribs prefix rib;
+      rib
 
 (* --- Route-flap damping (RFC 2439, simplified) --- *)
 
@@ -159,155 +218,110 @@ let install_fib t prefix entry =
   | Some e -> t.fib <- Prefix_trie.add prefix e t.fib
   | None -> t.fib <- Prefix_trie.remove prefix t.fib
 
-let session_is_down t n = Asn.Table.mem t.down_sessions n
-
-let rel_of t n =
-  match Asn.Table.find_opt t.neighbor_rel n with
-  | Some rel -> rel
-  | None -> invalid_arg (Printf.sprintf "Speaker %s: unknown neighbor %s"
-                           (Asn.to_string t.self) (Asn.to_string n))
-
-let adj_in_table t prefix =
-  match Prefix.Table.find_opt t.adj_in prefix with
-  | Some table -> table
-  | None ->
-      let table = Asn.Table.create 8 in
-      Prefix.Table.replace t.adj_in prefix table;
-      table
-
-let adj_out_for t neighbor =
-  match Asn.Table.find_opt t.adj_out neighbor with
-  | Some out -> out
-  | None ->
-      let out = Prefix.Table.create 32 in
-      Asn.Table.replace t.adj_out neighbor out;
-      out
-
-let index_add t neighbor prefix =
-  let tbl =
-    match Asn.Table.find_opt t.neighbor_index neighbor with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Prefix.Table.create 16 in
-        Asn.Table.replace t.neighbor_index neighbor tbl;
-        tbl
-  in
-  Prefix.Table.replace tbl prefix ()
-
-let index_remove t neighbor prefix =
-  match Asn.Table.find_opt t.neighbor_index neighbor with
-  | Some tbl -> Prefix.Table.remove tbl prefix
-  | None -> ()
+(* Full candidate scan: damped candidates are ineligible until their
+   penalty decays (and [is_suppressed] lifts decayed suppressions as a
+   side effect, for every candidate, as each scan always has). *)
+let scan t ~now rib =
+  Obs.Metrics.incr m_scans;
+  if Damp_tbl.length t.damp = 0 then Decision.best_slots rib.cand
+  else
+    Decision.best_slots
+      ~eligible:(fun i -> not (is_suppressed t ~now rib.prefix t.slots.(i).nbr))
+      rib.cand
 
 (* The loc-RIB best for a prefix: a local origination wins outright;
-   otherwise the decision process over the adj-RIB-in candidates. *)
-let compute_best t ~now prefix =
+   otherwise the most preferred candidate. [moved] is the one slot whose
+   candidate changed since the last selection, or [-1] when more may
+   have (an origination change, a damping wake-up).
+
+   Without MEDs, [Decision.compare_entries] is a strict total order over
+   one prefix's candidates (they differ in neighbor), so the stored best
+   is the maximum and one changed slot can be folded in with a single
+   comparison: a better candidate takes over, a withdrawal elsewhere
+   changes nothing, and only the best's own neighbor withdrawing or
+   getting worse needs the full scan. MED comparison is not transitive
+   and damping makes candidates ineligible over time; once either is in
+   play every selection scans. *)
+let select t ~now rib ~moved =
   Obs.Metrics.incr m_decisions;
-  match Prefix.Table.find_opt t.locals prefix with
+  match rib.local with
   | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self ~now)
+  | None when moved < 0 || t.med_seen || Damp_tbl.length t.damp <> 0 -> scan t ~now rib
   | None -> begin
-      match Prefix.Table.find_opt t.adj_in prefix with
-      | None -> None
-      | Some table ->
-          if Damp_tbl.length t.damp = 0 then Decision.best_in_table table
-          else begin
-            (* Damped candidates are ineligible until their penalty decays. *)
-            let eligible =
-              Asn.Table.fold
-                (fun neighbor entry acc ->
-                  if is_suppressed t ~now prefix neighbor then acc else entry :: acc)
-                table []
-            in
-            Decision.best eligible
-          end
+      let e = rib.cand.(moved) in
+      match rib.best with
+      | None -> if e == Decision.vacant then None else Some e
+      | Some b when Asn.equal b.Route.neighbor t.slots.(moved).nbr ->
+          if e != Decision.vacant && Decision.compare_entries e b >= 0 then Some e
+          else scan t ~now rib
+      | Some b ->
+          if e != Decision.vacant && Decision.compare_entries e b > 0 then Some e
+          else rib.best
     end
 
-(* Desired announcement toward one neighbor for a prefix, or None. *)
-let desired_export t prefix neighbor =
-  if session_is_down t neighbor then None
+(* Desired announcement toward the neighbor in slot [i], or [no_ann].
+   [best_out] is the neighbor-independent export of the best route,
+   forced only when some neighbor may receive it. *)
+let desired t rib i best_out =
+  let s = t.slots.(i) in
+  if s.down then no_ann
   else begin
-    match Prefix.Table.find_opt t.locals prefix with
+    match rib.local with
     | Some { per_neighbor; _ } -> begin
-        match per_neighbor neighbor with
+        match per_neighbor s.nbr with
         | Some path ->
-            Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path ()))
-        | None -> None
+            Path_store.intern_ann t.store (Route.announcement ~prefix:rib.prefix ~path ())
+        | None -> no_ann
       end
     | None -> begin
-        match Prefix.Table.find_opt t.best_table prefix with
-        | None -> None
-        | Some entry ->
-            if
-              Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:neighbor
-                ~to_rel:(rel_of t neighbor)
-            then
-              Some (Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry))
-            else None
+        match rib.best with
+        | Some entry
+          when Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:s.nbr
+                 ~to_rel:s.rel ->
+            Lazy.force best_out
+        | Some _ | None -> no_ann
       end
   end
 
-(* Diff desired exports against adj-RIB-out; mutate adj-RIB-out and return
-   the updates to put on the wire. The best-route outgoing announcement is
-   neighbor-independent, so it is rewritten and interned at most once per
-   sync and shared by every permitted neighbor. *)
-let sync_exports t prefix =
-  let local = Prefix.Table.find_opt t.locals prefix in
-  let best = Prefix.Table.find_opt t.best_table prefix in
-  let best_out =
-    lazy
-      (match best with
-      | None -> None
-      | Some entry ->
-          Some (Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry)))
-  in
-  let desired n =
-    if session_is_down t n then None
-    else begin
-      match local with
-      | Some { per_neighbor; _ } -> begin
-          match per_neighbor n with
-          | Some path ->
-              Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path ()))
-          | None -> None
-        end
-      | None -> begin
-          match best with
-          | None -> None
-          | Some entry ->
-              if
-                Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:n
-                  ~to_rel:(rel_of t n)
-              then Lazy.force best_out
-              else None
-        end
+let best_out t rib =
+  lazy
+    (match rib.best with
+    | None -> no_ann
+    | Some entry -> Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry))
+
+(* Diff desired exports against the adj-RIB-out; mutate it and return the
+   updates to put on the wire, in slot order. The best-route outgoing
+   announcement is interned at most once per sync and shared by every
+   permitted neighbor. *)
+let sync_exports t rib =
+  let best_out = best_out t rib in
+  let updates = ref [] in
+  for i = Array.length t.slots - 1 downto 0 do
+    let d = desired t rib i best_out in
+    let c = rib.out.(i) in
+    if d == no_ann then begin
+      if c != no_ann then begin
+        rib.out.(i) <- no_ann;
+        updates := (i, rib.withdraw) :: !updates
+      end
     end
-  in
-  List.filter_map
-    (fun (n, _) ->
-      let out = adj_out_for t n in
-      let desired = desired n in
-      let current = Prefix.Table.find_opt out prefix in
-      match (desired, current) with
-      | None, None -> None
-      | Some d, Some c when Route.announcement_equal d c -> None
-      | Some d, _ ->
-          Prefix.Table.replace out prefix d;
-          Some (n, Announce d)
-      | None, Some _ ->
-          Prefix.Table.remove out prefix;
-          Some (n, Withdraw prefix))
-    (neighbors t)
+    else if c == no_ann || not (Route.announcement_equal d c) then begin
+      rib.out.(i) <- d;
+      updates := (i, Announce d) :: !updates
+    end
+  done;
+  !updates
 
 (* [force_sync] matters when per-neighbor desired exports can move without
    the loc-RIB best changing: an origination change (the local best keeps
    its plain path while [per_neighbor] now says something else) or an
    explicit re-advertisement. The plain receive path skips the all-neighbor
    sync whenever the best is unchanged — with an unchanged loc-RIB, every
-   desired export is unchanged too, so the old unconditional scan provably
-   emitted nothing. *)
-let refresh_best ?(force_sync = false) t ~now prefix =
-  let old_best = Prefix.Table.find_opt t.best_table prefix in
-  let new_best = compute_best t ~now prefix in
+   desired export is unchanged too, so an unconditional scan provably
+   emits nothing. *)
+let refresh_best ?(force_sync = false) t ~now rib ~moved =
+  let old_best = rib.best in
+  let new_best = select t ~now rib ~moved in
   let changed =
     match (old_best, new_best) with
     | None, None -> false
@@ -317,154 +331,176 @@ let refresh_best ?(force_sync = false) t ~now prefix =
     | _ -> true
   in
   if changed then begin
-    (match new_best with
-    | Some e -> Prefix.Table.replace t.best_table prefix e
-    | None -> Prefix.Table.remove t.best_table prefix);
-    Obs.Metrics.observe_max m_loc_rib (Prefix.Table.length t.best_table);
+    (match (old_best, new_best) with
+    | None, Some _ -> t.loc_rib_size <- t.loc_rib_size + 1
+    | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
+    | _ -> ());
+    rib.best <- new_best;
+    Obs.Metrics.observe_max m_loc_rib t.loc_rib_size;
     (match t.fib_commit with
-    | Some commit -> commit prefix new_best
-    | None -> install_fib t prefix new_best);
+    | Some commit -> commit rib.prefix new_best
+    | None -> install_fib t rib.prefix new_best);
     match t.on_best_change with
-    | Some f -> f ~now prefix new_best
+    | Some f -> f ~now rib.prefix new_best
     | None -> ()
   end;
-  if changed || force_sync then sync_exports t prefix else []
+  if changed || force_sync then sync_exports t rib else []
 
 let originate t ~now ~prefix ~per_neighbor =
   let local_ann =
     Path_store.intern_ann t.store
       (Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self) ())
   in
-  Prefix.Table.replace t.locals prefix { per_neighbor; local_ann };
-  refresh_best ~force_sync:true t ~now prefix
+  let rib = rib_for t prefix in
+  rib.local <- Some { per_neighbor; local_ann };
+  refresh_best ~force_sync:true t ~now rib ~moved:(-1)
 
 let stop_originating t ~now ~prefix =
-  Prefix.Table.remove t.locals prefix;
-  refresh_best ~force_sync:true t ~now prefix
+  let rib = rib_for t prefix in
+  rib.local <- None;
+  refresh_best ~force_sync:true t ~now rib ~moved:(-1)
 
-let receive t ~now ~from action =
-  if session_is_down t from then []
+let receive t ~now ~slot action =
+  let s = t.slots.(slot) in
+  if s.down then []
   else begin
     match action with
     | Withdraw prefix ->
-        if Asn.Table.mem (adj_in_table t prefix) from then
-          ignore (note_flap t ~now prefix from);
-        Asn.Table.remove (adj_in_table t prefix) from;
-        index_remove t from prefix;
-        refresh_best t ~now prefix
-    | Announce ann -> begin
+        let rib = rib_for t prefix in
+        if rib.cand.(slot) != Decision.vacant then begin
+          ignore (note_flap t ~now prefix s.nbr);
+          rib.cand.(slot) <- Decision.vacant
+        end;
+        refresh_best t ~now rib ~moved:slot
+    | Announce ann ->
         let ann = Path_store.intern_ann t.store ann in
-        let prefix = ann.Route.prefix in
+        let rib = rib_for t ann.Route.prefix in
         (* A changed announcement from a neighbor that already had a route
            is a flap. *)
-        (match Asn.Table.find_opt (adj_in_table t prefix) from with
-        | Some previous
-          when not (Route.announcement_equal previous.Route.ann ann) ->
-            ignore (note_flap t ~now prefix from)
-        | Some _ | None -> ());
-        let rel = rel_of t from in
-        match
-          Policy.import t.config ~self:t.self ~peers_of_self:!(t.peers_of_self)
-            ~neighbor:from ~rel ann
-        with
+        let previous = rib.cand.(slot) in
+        if previous != Decision.vacant && not (Route.announcement_equal previous.Route.ann ann)
+        then ignore (note_flap t ~now rib.prefix s.nbr);
+        (match Policy.import t.config ~self:t.self ~peers_of_self:t.peers_of_self ~rel:s.rel ann with
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
-            Asn.Table.remove (adj_in_table t prefix) from;
-            index_remove t from prefix;
-            refresh_best t ~now prefix
-        | Policy.Accepted local_pref ->
-            Asn.Table.replace (adj_in_table t prefix) from
-              (Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:from
-                 ~rel ~local_pref ~learned_at:now ());
-            index_add t from prefix;
-            refresh_best t ~now prefix
-      end
+            rib.cand.(slot) <- Decision.vacant
+        | Policy.Accepted ->
+            if Option.is_some ann.Route.med then t.med_seen <- true;
+            rib.cand.(slot) <-
+              Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:s.nbr ~rel:s.rel
+                ~local_pref:s.import_pref ~learned_at:now ());
+        refresh_best t ~now rib ~moved:slot
   end
 
-let affected_prefixes t neighbor =
-  let from_adj =
-    match Asn.Table.find_opt t.neighbor_index neighbor with
-    | None -> Prefix.Set.empty
-    | Some tbl -> Prefix.Table.fold (fun p () acc -> Prefix.Set.add p acc) tbl Prefix.Set.empty
-  in
-  Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals from_adj
+let by_prefix r1 r2 = Prefix.compare r1.prefix r2.prefix
 
 let session_down t ~now ~neighbor =
-  if session_is_down t neighbor then []
+  let i = slot_of t neighbor in
+  let s = t.slots.(i) in
+  if s.down then []
   else begin
-    Asn.Table.replace t.down_sessions neighbor ();
-    let affected = affected_prefixes t neighbor in
-    (match Asn.Table.find_opt t.neighbor_index neighbor with
-    | Some tbl ->
-        Prefix.Table.iter (fun p () -> Asn.Table.remove (adj_in_table t p) neighbor) tbl;
-        Asn.Table.remove t.neighbor_index neighbor
-    | None -> ());
-    (* Clear adj-RIB-out toward the dead session so a later session_up
-       re-announces from scratch: one sub-table drop, not a walk of
-       best_table + locals. *)
-    Asn.Table.remove t.adj_out neighbor;
-    List.concat_map (fun p -> refresh_best t ~now p) (Prefix.Set.elements affected)
+    s.down <- true;
+    (* Drop the neighbor's candidates and clear the adj-RIB-out toward the
+       dead session, so a later session_up re-announces from scratch. *)
+    let affected =
+      Prefix.Table.fold
+        (fun _ rib acc ->
+          rib.out.(i) <- no_ann;
+          if rib.cand.(i) != Decision.vacant || Option.is_some rib.local then begin
+            rib.cand.(i) <- Decision.vacant;
+            rib :: acc
+          end
+          else acc)
+        t.ribs []
+    in
+    List.concat_map (fun rib -> refresh_best t ~now rib ~moved:i) (List.sort by_prefix affected)
   end
 
 let damping_pending t = Damp_tbl.length t.damp <> 0
 
 let session_up t ~now ~neighbor =
-  if not (session_is_down t neighbor) then []
+  let i = slot_of t neighbor in
+  let s = t.slots.(i) in
+  if not s.down then []
   else begin
-    Asn.Table.remove t.down_sessions neighbor;
-    let all =
-      Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.best_table Prefix.Set.empty
-      |> fun s -> Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals s
+    s.down <- false;
+    let live =
+      Prefix.Table.fold
+        (fun _ rib acc ->
+          if Option.is_some rib.best || Option.is_some rib.local then rib :: acc else acc)
+        t.ribs []
+      |> List.sort by_prefix
     in
     if damping_pending t then
       (* With damping state live, re-running the decision process can
          lazily lift suppressions and move bests — keep the full refresh
          so that timing is unchanged. *)
-      List.concat_map (fun p -> refresh_best ~force_sync:true t ~now p)
-        (Prefix.Set.elements all)
-    else begin
+      List.concat_map (fun rib -> refresh_best ~force_sync:true t ~now rib ~moved:(-1)) live
+    else
       (* No damping: nothing about the loc-RIB moved while the session was
-         down that isn't already in best_table, and session_down cleared
-         this neighbor's adj-RIB-out — so the only possible updates are
-         announcements of current state toward the revived neighbor.
-         Same output, without an all-neighbors sync per prefix. *)
-      let out = adj_out_for t neighbor in
+         down, and session_down cleared this neighbor's adj-RIB-out — so
+         the only possible updates are announcements of current state
+         toward the revived neighbor. Same output, without an
+         all-neighbors sync per prefix. *)
       List.filter_map
-        (fun p ->
-          match desired_export t p neighbor with
-          | Some d ->
-              Prefix.Table.replace out p d;
-              Some (neighbor, Announce d)
-          | None -> None)
-        (Prefix.Set.elements all)
-    end
+        (fun rib ->
+          let d = desired t rib i (best_out t rib) in
+          if d == no_ann then None
+          else begin
+            rib.out.(i) <- d;
+            Some (i, Announce d)
+          end)
+        live
   end
 
 let refresh_prefix t ~prefix =
-  (* Forget what was last sent so [sync_exports] re-emits the current
-     desired announcement even when it is unchanged: the receiving side
-     may have flushed or lost it (session reset, filtered update), which
-     the diff against our own adj-RIB-out cannot see. *)
-  List.iter
-    (fun (n, _) ->
-      if not (session_is_down t n) then Prefix.Table.remove (adj_out_for t n) prefix)
-    (neighbors t);
-  sync_exports t prefix
+  match Prefix.Table.find_opt t.ribs prefix with
+  | None -> []
+  | Some rib ->
+      (* Forget what was last sent so [sync_exports] re-emits the current
+         desired announcement even when it is unchanged: the receiving
+         side may have flushed or lost it (session reset, filtered
+         update), which the diff against our own adj-RIB-out cannot see. *)
+      Array.fill rib.out 0 (Array.length rib.out) no_ann;
+      sync_exports t rib
 
-let best t prefix = Prefix.Table.find_opt t.best_table prefix
+let best t prefix =
+  match Prefix.Table.find_opt t.ribs prefix with
+  | Some rib -> rib.best
+  | None -> None
+
 let fib_lookup t ip = Prefix_trie.lookup ip t.fib
 
-let prefixes t =
-  Prefix.Table.fold (fun p _ acc -> p :: acc) t.best_table [] |> List.sort_uniq Prefix.compare
+let ribs_where t keep =
+  Prefix.Table.fold (fun p rib acc -> if keep rib then p :: acc else acc) t.ribs []
+  |> List.sort Prefix.compare
 
-let originated t =
-  Prefix.Table.fold (fun p _ acc -> p :: acc) t.locals [] |> List.sort_uniq Prefix.compare
+let prefixes t = ribs_where t (fun rib -> Option.is_some rib.best)
+let originated t = ribs_where t (fun rib -> Option.is_some rib.local)
+
+let slot_view t prefix f =
+  match Prefix.Table.find_opt t.ribs prefix with
+  | None -> []
+  | Some rib -> List.filter_map Fun.id (List.init (Array.length t.slots) (f rib))
+
+let candidates t prefix =
+  slot_view t prefix (fun rib i ->
+      let e = rib.cand.(i) in
+      if e == Decision.vacant then None else Some e)
+
+let advertised t prefix =
+  slot_view t prefix (fun rib i ->
+      let a = rib.out.(i) in
+      if a == no_ann then None else Some (t.slots.(i).nbr, a))
 
 let adj_in_size t =
-  Prefix.Table.fold (fun _ table acc -> acc + Asn.Table.length table) t.adj_in 0
+  Prefix.Table.fold
+    (fun _ rib acc ->
+      Array.fold_left (fun acc e -> if e == Decision.vacant then acc else acc + 1) acc rib.cand)
+    t.ribs 0
 
-let reevaluate t ~now prefix = refresh_best t ~now prefix
+let reevaluate t ~now prefix = refresh_best t ~now (rib_for t prefix) ~moved:(-1)
 
 let suppressed_candidates t prefix =
   Damp_tbl.fold

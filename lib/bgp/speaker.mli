@@ -6,8 +6,19 @@
     neighbors. Delivery timing (link delays, MRAI pacing) is the
     {!Network}'s job, which keeps this module synchronously testable.
 
+    State is slot-indexed: each neighbor session gets a dense {e slot}
+    at {!create} (its index in [neighbors]), and each prefix one record
+    holding a slot-indexed adj-RIB-in and adj-RIB-out plus the loc-RIB
+    best. Updates in and out are addressed by slot, so the delivery path
+    does one prefix lookup and no per-neighbor hashing. Best-route
+    selection is incremental: a changed candidate is compared once
+    against the current best, and the candidates are rescanned only when
+    the best's own neighbor withdraws or gets worse — or always, once
+    damping state or a MED is in play (see {!Decision.best_slots}).
+
     Observability: every run of the decision process increments the
-    [bgp.decisions] counter, and each loc-RIB change records the table's
+    [bgp.decisions] counter, each full candidate rescan
+    [bgp.decision.scans], and each loc-RIB change records the table's
     size into the [bgp.loc_rib] max-gauge (see {!Obs.Metrics}). *)
 
 open Net
@@ -17,6 +28,10 @@ type t
 
 type action = Announce of Route.announcement | Withdraw of Prefix.t
 (** An update destined to one neighbor. *)
+
+type out = (int * action) list
+(** Updates to send, each addressed to a neighbor slot ({!neighbor_at}),
+    in slot order per prefix. *)
 
 val create :
   ?store:Path_store.t ->
@@ -41,29 +56,37 @@ val config : t -> Policy.config
 (** The import/export policy configuration the speaker was built with. *)
 
 val neighbors : t -> (Asn.t * Relationship.t) list
-(** The speaker's sessions, each with our relationship to that neighbor. *)
+(** The speaker's sessions, each with our relationship to that neighbor,
+    in slot order. *)
+
+val slot_of : t -> Asn.t -> int
+(** The slot of a neighbor's session. Raises [Invalid_argument] for an AS
+    that is not a neighbor. *)
+
+val neighbor_at : t -> int -> Asn.t
+(** The neighbor in a slot. *)
 
 val originate :
-  t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (Asn.t * action) list
+  t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> out
 (** Start (or change) originating [prefix]. [per_neighbor] gives the AS
     path announced to each neighbor — [Some [asn]] for a plain
     announcement, a poisoned or prepended path for remediation, or [None]
     to withhold the prefix from that neighbor (selective advertising /
     selective poisoning). Returns the updates to send. *)
 
-val stop_originating : t -> now:float -> prefix:Prefix.t -> (Asn.t * action) list
+val stop_originating : t -> now:float -> prefix:Prefix.t -> out
 (** Withdraw a locally-originated prefix everywhere. *)
 
-val receive : t -> now:float -> from:Asn.t -> action -> (Asn.t * action) list
-(** Process one update from a neighbor: import policy, loc-RIB decision,
+val receive : t -> now:float -> slot:int -> action -> out
+(** Process one update from the neighbor in [slot]: import policy, loc-RIB decision,
     and the resulting exports. A rejected announcement acts as an implicit
     withdraw of that neighbor's previous route. *)
 
-val session_down : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
+val session_down : t -> now:float -> neighbor:Asn.t -> out
 (** Drop every route learned from [neighbor] and stop exporting to it
     until {!session_up}. *)
 
-val session_up : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
+val session_up : t -> now:float -> neighbor:Asn.t -> out
 (** Re-enable the session and produce the full-table advertisement for
     that neighbor. When {!damping_pending} is false this takes a fast
     path that exports the current loc-RIB toward only the revived
@@ -78,7 +101,7 @@ val damping_pending : t -> bool
     decaying). While true, {!session_up} uses its conservative slow
     path. *)
 
-val refresh_prefix : t -> prefix:Prefix.t -> (Asn.t * action) list
+val refresh_prefix : t -> prefix:Prefix.t -> out
 (** Force a re-advertisement of the current desired export for [prefix]
     toward every up neighbor, even when the adj-RIB-out says it was
     already sent. This is the idempotent re-announce primitive the
@@ -110,6 +133,14 @@ val prefixes : t -> Prefix.t list
 val originated : t -> Prefix.t list
 (** Prefixes this speaker currently originates locally. *)
 
+val candidates : t -> Prefix.t -> Route.entry list
+(** The adj-RIB-in for a prefix: every neighbor's current candidate, in
+    slot order (damped ones included). *)
+
+val advertised : t -> Prefix.t -> (Asn.t * Route.announcement) list
+(** The adj-RIB-out for a prefix: what was last sent to each neighbor
+    that has it, in slot order. *)
+
 val adj_in_size : t -> int
 (** Total adj-RIB-in entries across all prefixes (memory accounting). *)
 
@@ -122,7 +153,7 @@ val set_reuse_scheduler : t -> (delay:float -> Prefix.t -> unit) -> unit
     hook to schedule a {!reevaluate} once the penalty will have decayed
     below the reuse threshold. Wired by the {!Network}. *)
 
-val reevaluate : t -> now:float -> Prefix.t -> (Asn.t * action) list
+val reevaluate : t -> now:float -> Prefix.t -> out
 (** Re-run the decision process for a prefix (e.g. after a damping
     penalty decays); returns the updates to send. *)
 

@@ -56,6 +56,7 @@ val as_list : t -> Asn.t list
 val as_count : t -> int
 val link_count : t -> int
 val degree : t -> Asn.t -> int
+(** Number of neighbors, in O(1). *)
 
 val is_stub : t -> Asn.t -> bool
 (** True when the AS has no customers (an edge network). *)

@@ -75,8 +75,8 @@ let test_med_steers_between_sessions () =
          ~path:(Bgp.As_path.of_list [ neighbor; asn 900 ])
          ())
   in
-  ignore (Bgp.Speaker.receive speaker ~now:0.0 ~from:(asn 200) (ann 50 (asn 200)));
-  ignore (Bgp.Speaker.receive speaker ~now:1.0 ~from:(asn 201) (ann 10 (asn 201)));
+  ignore (Bgp.Speaker.receive speaker ~now:0.0 ~slot:(Bgp.Speaker.slot_of speaker (asn 200)) (ann 50 (asn 200)));
+  ignore (Bgp.Speaker.receive speaker ~now:1.0 ~slot:(Bgp.Speaker.slot_of speaker (asn 201)) (ann 10 (asn 201)));
   (* Different first-hop ASes: MED not compared; lowest tiebreak wins.
      Now same first hop: re-announce 201's route as if from AS 200. *)
   match Bgp.Speaker.best speaker production with

@@ -250,16 +250,17 @@ let test_no_export_community () =
   As_graph.add_link g ~a:b' ~b:t' ~rel:Relationship.Provider;
   let w = world_of_graph g in
   let sp = Bgp.Network.speaker w.net b' in
-  ignore sp;
   (* Inject the announcement directly at B with NO_EXPORT. *)
   let ann =
     Bgp.Route.announcement ~communities:[ Bgp.Community.no_export ] ~prefix:production
       ~path:(Bgp.As_path.of_list [ o' ]) ()
   in
-  let out = Bgp.Speaker.receive (Bgp.Network.speaker w.net b') ~now:0.0 ~from:o' (Bgp.Speaker.Announce ann) in
+  let out =
+    Bgp.Speaker.receive sp ~now:0.0 ~slot:(Bgp.Speaker.slot_of sp o') (Bgp.Speaker.Announce ann)
+  in
   Alcotest.(check int) "B exports nowhere" 0 (List.length out);
   Alcotest.(check bool) "B itself keeps the route" true
-    (Bgp.Speaker.best (Bgp.Network.speaker w.net b') production <> None)
+    (Bgp.Speaker.best sp production <> None)
 
 let suite =
   [

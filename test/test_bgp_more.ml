@@ -306,13 +306,13 @@ let test_flap_damping_suppresses_and_reuses () =
       scheduled := (delay, prefix) :: !scheduled);
   let announce ~now path =
     ignore
-      (Bgp.Speaker.receive speaker ~now ~from:(asn 200)
+      (Bgp.Speaker.receive speaker ~now ~slot:(Bgp.Speaker.slot_of speaker (asn 200))
          (Bgp.Speaker.Announce
             (Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path) ())))
   in
   (* Also a stable candidate from the other neighbor. *)
   ignore
-    (Bgp.Speaker.receive speaker ~now:0.0 ~from:(asn 201)
+    (Bgp.Speaker.receive speaker ~now:0.0 ~slot:(Bgp.Speaker.slot_of speaker (asn 201))
        (Bgp.Speaker.Announce
           (Bgp.Route.announcement ~prefix:production
              ~path:(Bgp.As_path.of_list [ asn 201; asn 900; asn 901 ])
@@ -351,7 +351,8 @@ let test_no_damping_without_config () =
   in
   for i = 1 to 10 do
     ignore
-      (Bgp.Speaker.receive speaker ~now:(float_of_int i) ~from:(asn 200)
+      (Bgp.Speaker.receive speaker ~now:(float_of_int i)
+         ~slot:(Bgp.Speaker.slot_of speaker (asn 200))
          (Bgp.Speaker.Announce
             (Bgp.Route.announcement ~prefix:production
                ~path:(Bgp.As_path.of_list [ asn 200; asn (900 + (i mod 2)) ])

@@ -9,6 +9,7 @@ let () =
       ("bgp", Test_bgp.suite);
       ("bgp-more", Test_bgp_more.suite);
       ("interner", Test_interner.suite);
+      ("slot-rib", Test_slot_rib.suite);
       ("dataplane", Test_dataplane.suite);
       ("measurement", Test_measurement.suite);
       ("lifeguard", Test_lifeguard.suite);

@@ -211,6 +211,30 @@ let prop_policy_reachable_symmetric =
       Splice.policy_reachable g ~src:a ~dst:b ~avoiding:Asn.Set.empty
       = Splice.policy_reachable g ~src:b ~dst:a ~avoiding:Asn.Set.empty)
 
+(* [degree] is a counter kept by [add_link]/[remove_link]; it must agree
+   with the adjacency itself after any interleaving of the two. *)
+let prop_degree_counts_neighbors =
+  QCheck.Test.make ~name:"degree = number of neighbors under link churn" ~count:30
+    QCheck.(int_range 0 10000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let n = 12 in
+      let g = As_graph.create () in
+      for i = 1 to n do
+        As_graph.add_as g (asn i)
+      done;
+      for _ = 1 to 200 do
+        let a = asn (1 + Prng.int rng n) and b = asn (1 + Prng.int rng n) in
+        if not (Asn.equal a b) then begin
+          if As_graph.relationship g ~a ~b = None then
+            As_graph.add_link g ~a ~b ~rel:Relationship.Peer
+          else As_graph.remove_link g ~a ~b
+        end
+      done;
+      List.for_all
+        (fun a -> As_graph.degree g a = List.length (As_graph.neighbors g a))
+        (As_graph.as_list g))
+
 let suite =
   [
     Alcotest.test_case "relationship algebra" `Quick test_relationship_algebra;
@@ -226,4 +250,5 @@ let suite =
     Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
     QCheck_alcotest.to_alcotest prop_invert_involutive;
     QCheck_alcotest.to_alcotest prop_policy_reachable_symmetric;
+    QCheck_alcotest.to_alcotest prop_degree_counts_neighbors;
   ]
