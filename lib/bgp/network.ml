@@ -84,6 +84,9 @@ and shard_state = {
   mutable s_bgp_events : int;  (** BGP events queued in this shard's engine *)
   mutable s_delivered : int;
   mutable s_buckets : int array;
+  mutable s_fib_installs : int;
+      (** FIB installs by this shard's speakers: its part of the data-plane
+          version (see {!dataplane_version}). *)
   mutable outbox : boundary_msg list;  (** reversed emission order *)
   mutable outbox_n : int;
 }
@@ -110,6 +113,9 @@ type t = {
           crash (the config outlives the loc-RIB) so {!restart_node} can
           re-originate from it. *)
   mutable owner_trie : Asn.t Prefix_trie.t;
+  mutable owner_changes : int;
+      (** [owner_trie] changes: the control domain's part of the data-plane
+          version. *)
   mutable link_faults : (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option;
   mutable collectors : collector_state list;
   shards : shard_state array;
@@ -327,6 +333,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       s_bgp_events = 0;
       s_delivered = 0;
       s_buckets = Array.make 1024 0;
+      s_fib_installs = 0;
       outbox = [];
       outbox_n = 0;
     }
@@ -390,6 +397,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
       owner_trie = Prefix_trie.empty;
+      owner_changes = 0;
       link_faults = None;
       collectors = [];
       shards = shard_states;
@@ -470,6 +478,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
               sh.s_bgp_events <- sh.s_bgp_events - 1;
               let out = Speaker.reevaluate sp ~now:(Sim.Engine.now sh.sengine) prefix in
               emit_all t node out));
+      Speaker.set_on_fib_install sp (fun () -> sh.s_fib_installs <- sh.s_fib_installs + 1);
       if fib_install_delay > 0.0 then begin
         (* The data plane trails the control plane by a deterministic
            per-AS RIB-to-FIB install latency. *)
@@ -497,18 +506,25 @@ let announce t ~origin ~prefix ?per_neighbor () =
         let plain = Path_store.intern_path t.store (As_path.plain ~origin) in
         fun _ -> Some plain
   in
-  Prefix.Table.replace t.owners prefix origin;
+  (match Prefix.Table.find_opt t.owners prefix with
+  | Some o when Asn.equal o origin -> ()
+  | Some _ | None ->
+      Prefix.Table.replace t.owners prefix origin;
+      t.owner_trie <- Prefix_trie.add prefix origin t.owner_trie;
+      t.owner_changes <- t.owner_changes + 1);
   t.originations <- Prefix.Map.add prefix per_neighbor t.originations;
-  t.owner_trie <- Prefix_trie.add prefix origin t.owner_trie;
   let n = node t origin in
   emit_all t n (Speaker.originate n.sp ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor);
   poke t
 
 let withdraw t ~origin ~prefix =
   sync t;
-  Prefix.Table.remove t.owners prefix;
+  if Prefix.Table.mem t.owners prefix then begin
+    Prefix.Table.remove t.owners prefix;
+    t.owner_trie <- Prefix_trie.remove prefix t.owner_trie;
+    t.owner_changes <- t.owner_changes + 1
+  end;
   t.originations <- Prefix.Map.remove prefix t.originations;
-  t.owner_trie <- Prefix_trie.remove prefix t.owner_trie;
   let n = node t origin in
   emit_all t n (Speaker.stop_originating n.sp ~now:(Sim.Engine.now t.engine) ~prefix);
   poke t
@@ -529,6 +545,12 @@ let best_route t asn prefix =
 let fib_lookup t asn ip =
   sync t;
   Speaker.fib_lookup (speaker t asn) ip
+
+(* Each shard counts only its own speakers' installs (on whichever domain
+   runs it), so the sum is read after [sync], like [fib_lookup]. *)
+let dataplane_version t =
+  sync t;
+  Array.fold_left (fun acc sh -> acc + sh.s_fib_installs) t.owner_changes t.shards
 
 let bgp_busy t =
   let acc = ref 0 in

@@ -153,6 +153,14 @@ val fib_lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * Route.entry) option
 (** Longest-prefix match against [asn]'s FIB — the data-plane view,
     which can lag the loc-RIB when FIB install latency is modeled. *)
 
+val dataplane_version : t -> int
+(** A counter covering everything a data-plane walk reads from the
+    network: it moves on every FIB install of any speaker (immediate or
+    after the modeled install delay) and on every change of the
+    origin-owner table behind {!owner_of_address}. Two reads with equal
+    values saw the same FIBs and owners. Syncs first, like
+    {!fib_lookup}. *)
+
 val run_until_quiet : ?timeout:float -> t -> unit
 (** Drive the engine until no BGP events remain queued (or [timeout]
     simulated seconds elapsed, default 3600). Other events scheduled on

@@ -72,6 +72,11 @@ type t = {
   mutable on_best_change : (now:float -> Prefix.t -> Route.entry option -> unit) option;
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
   damp : damp_state Damp_tbl.t;
+  mutable suppressed_n : int;
+      (** Damping records currently suppressed: whether any candidate can
+          be ineligible (see [select]). Records are never dropped, so the
+          size of [damp] cannot tell. *)
+  mutable on_fib_install : unit -> unit;
   mutable reuse_scheduler : (delay:float -> Prefix.t -> unit) option;
 }
 
@@ -115,6 +120,8 @@ let create ?store ~asn ~config ~neighbors () =
     on_best_change = None;
     fib_commit = None;
     damp = Damp_tbl.create 16;
+    suppressed_n = 0;
+    on_fib_install = ignore;
     reuse_scheduler = None;
   }
 
@@ -125,6 +132,7 @@ let neighbors t = Array.to_list (Array.map (fun s -> (s.nbr, s.rel)) t.slots)
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
 let set_fib_commit_hook t f = t.fib_commit <- Some f
+let set_on_fib_install t f = t.on_fib_install <- f
 
 let slot_of t n =
   match Asn.Table.find_opt t.slot_ix n with
@@ -180,6 +188,7 @@ let note_flap t ~now prefix neighbor =
       state.last <- now;
       if (not state.suppressed) && state.penalty >= cfg.Policy.suppress_threshold then begin
         state.suppressed <- true;
+        t.suppressed_n <- t.suppressed_n + 1;
         (* Ask for a wake-up when the penalty will have decayed to the
            reuse threshold. *)
         (match t.reuse_scheduler with
@@ -207,6 +216,7 @@ let is_suppressed t ~now prefix neighbor =
               state.penalty <- p;
               state.last <- now;
               state.suppressed <- false;
+              t.suppressed_n <- t.suppressed_n - 1;
               false
             end
             else true
@@ -214,16 +224,19 @@ let is_suppressed t ~now prefix neighbor =
     end
 
 let install_fib t prefix entry =
-  match entry with
+  (match entry with
   | Some e -> t.fib <- Prefix_trie.add prefix e t.fib
-  | None -> t.fib <- Prefix_trie.remove prefix t.fib
+  | None -> t.fib <- Prefix_trie.remove prefix t.fib);
+  t.on_fib_install ()
 
 (* Full candidate scan: damped candidates are ineligible until their
    penalty decays (and [is_suppressed] lifts decayed suppressions as a
-   side effect, for every candidate, as each scan always has). *)
+   side effect, for every candidate, as each scan always has). With no
+   record suppressed every candidate is eligible and there is nothing to
+   lift. *)
 let scan t ~now rib =
   Obs.Metrics.incr m_scans;
-  if Damp_tbl.length t.damp = 0 then Decision.best_slots rib.cand
+  if t.suppressed_n = 0 then Decision.best_slots rib.cand
   else
     Decision.best_slots
       ~eligible:(fun i -> not (is_suppressed t ~now rib.prefix t.slots.(i).nbr))
@@ -240,13 +253,16 @@ let scan t ~now rib =
    comparison: a better candidate takes over, a withdrawal elsewhere
    changes nothing, and only the best's own neighbor withdrawing or
    getting worse needs the full scan. MED comparison is not transitive
-   and damping makes candidates ineligible over time; once either is in
-   play every selection scans. *)
+   and damping makes candidates ineligible over time; once a MED has
+   been seen, or while any record is suppressed, every selection scans.
+   A suppression is only ever lifted inside a scan of its own prefix, so
+   when none is live every stored best is already the maximum over all
+   candidates and the single comparison is exact again. *)
 let select t ~now rib ~moved =
   Obs.Metrics.incr m_decisions;
   match rib.local with
   | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self ~now)
-  | None when moved < 0 || t.med_seen || Damp_tbl.length t.damp <> 0 -> scan t ~now rib
+  | None when moved < 0 || t.med_seen || t.suppressed_n <> 0 -> scan t ~now rib
   | None -> begin
       let e = rib.cand.(moved) in
       match rib.best with
@@ -417,7 +433,7 @@ let session_down t ~now ~neighbor =
     List.concat_map (fun rib -> refresh_best t ~now rib ~moved:i) (List.sort by_prefix affected)
   end
 
-let damping_pending t = Damp_tbl.length t.damp <> 0
+let damping_pending t = t.suppressed_n <> 0
 
 let session_up t ~now ~neighbor =
   let i = slot_of t neighbor in
@@ -433,7 +449,7 @@ let session_up t ~now ~neighbor =
       |> List.sort by_prefix
     in
     if damping_pending t then
-      (* With damping state live, re-running the decision process can
+      (* With a suppression live, re-running the decision process can
          lazily lift suppressions and move bests — keep the full refresh
          so that timing is unchanged. *)
       List.concat_map (fun rib -> refresh_best ~force_sync:true t ~now rib ~moved:(-1)) live

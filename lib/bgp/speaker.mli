@@ -13,8 +13,9 @@
     does one prefix lookup and no per-neighbor hashing. Best-route
     selection is incremental: a changed candidate is compared once
     against the current best, and the candidates are rescanned only when
-    the best's own neighbor withdraws or gets worse — or always, once
-    damping state or a MED is in play (see {!Decision.best_slots}).
+    the best's own neighbor withdraws or gets worse — or always, while a
+    damping suppression is live or once a MED has been seen (see
+    {!Decision.best_slots}).
 
     Observability: every run of the decision process increments the
     [bgp.decisions] counter, each full candidate rescan
@@ -97,9 +98,10 @@ val session_up : t -> now:float -> neighbor:Asn.t -> out
     order. *)
 
 val damping_pending : t -> bool
-(** Whether any route-flap damping records are live (suppressed or still
-    decaying). While true, {!session_up} uses its conservative slow
-    path. *)
+(** Whether any route-flap damping record is currently suppressed. While
+    true, {!session_up} uses its conservative slow path and every
+    decision scans all candidates; records that are merely decaying
+    leave both on their fast paths. *)
 
 val refresh_prefix : t -> prefix:Prefix.t -> out
 (** Force a re-advertisement of the current desired export for [prefix]
@@ -125,7 +127,13 @@ val set_fib_commit_hook : t -> (Prefix.t -> Route.entry option -> unit) -> unit
     call {!install_fib}. *)
 
 val install_fib : t -> Prefix.t -> Route.entry option -> unit
-(** Install (or remove, on [None]) the data-plane entry for a prefix. *)
+(** Install (or remove, on [None]) the data-plane entry for a prefix,
+    then call the {!set_on_fib_install} hook. *)
+
+val set_on_fib_install : t -> (unit -> unit) -> unit
+(** Called after every {!install_fib}, on whichever domain runs the
+    speaker. The {!Network} counts installs with it to version the data
+    plane. *)
 
 val prefixes : t -> Prefix.t list
 (** All prefixes with a loc-RIB entry. *)

@@ -30,14 +30,22 @@ let scope_equal a b =
 let spec_equal a b =
   scope_equal a.scope b.scope && a.mode = b.mode && Option.equal Prefix.equal a.toward b.toward
 
-type set = { mutable specs : spec list }
+(* [version] counts mutations, so a cached verdict stamped with it can
+   tell whether the set it was computed against is still the set. *)
+type set = { mutable specs : spec list; mutable version : int }
 
-let create () = { specs = [] }
+let create () = { specs = []; version = 0 }
 let is_empty t = t.specs = []
 let active t = t.specs
-let add t spec = t.specs <- spec :: t.specs
-let remove t spec = t.specs <- List.filter (fun s -> not (spec_equal s spec)) t.specs
-let clear t = t.specs <- []
+let version t = t.version
+
+let set_specs t specs =
+  t.specs <- specs;
+  t.version <- t.version + 1
+
+let add t spec = set_specs t (spec :: t.specs)
+let remove t spec = set_specs t (List.filter (fun s -> not (spec_equal s spec)) t.specs)
+let clear t = set_specs t []
 
 let toward_matches spec dst =
   match spec.toward with

@@ -49,6 +49,11 @@ val remove : set -> spec -> unit
 
 val clear : set -> unit
 
+val version : set -> int
+(** A counter bumped by every {!add}, {!remove} and {!clear} (whether or
+    not the set's contents changed). Two reads with equal versions saw
+    the same active failures. *)
+
 val blocks_hop : set -> from_:Asn.t -> to_:Asn.t -> dst:Ipv4.t -> spec option
 (** Does any active failure kill a packet traversing the [from_ -> to_]
     link and then transiting [to_], heading to [dst]? Returns the first

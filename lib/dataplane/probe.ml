@@ -5,10 +5,47 @@ open Topology
    [probes_sent] totals the experiments report, and each charge emits a
    "meas.probe" trace event stamped with simulation time. *)
 let m_probes = Obs.Metrics.counter "meas.probes"
+let m_verdict_hits = Obs.Metrics.counter "meas.verdict.hits"
+let m_verdict_misses = Obs.Metrics.counter "meas.verdict.misses"
 
-type env = { net : Bgp.Network.t; failures : Failure.set; mutable probes_sent : int }
+(* A round-trip ping question: (source AS, reply address, destination),
+   hashed by explicit integer mixing rather than the polymorphic hash. *)
+type question = { q_src : int; q_src_ip : int; q_dst : int }
 
-let env net failures = { net; failures; probes_sent = 0 }
+module Verdict_tbl = Hashtbl.Make (struct
+  type t = question
+
+  let equal a b =
+    Int.equal a.q_src b.q_src && Int.equal a.q_src_ip b.q_src_ip && Int.equal a.q_dst b.q_dst
+
+  let hash q =
+    let z = (q.q_src * 0x9E3779B1) lxor (q.q_src_ip * 0x85EBCA6B) lxor (q.q_dst * 0xC2B2AE35) in
+    (z lxor (z lsr 16)) land max_int
+end)
+
+(* Ping verdicts computed against one state of the data plane, stamped
+   with the env's network and failure-set versions at the time. *)
+type verdicts = {
+  table : bool Verdict_tbl.t;
+  mutable net_version : int;
+  mutable failure_version : int;
+}
+
+type env = {
+  net : Bgp.Network.t;
+  failures : Failure.set;
+  mutable probes_sent : int;
+  verdicts : verdicts;
+}
+
+let env net failures =
+  {
+    net;
+    failures;
+    probes_sent = 0;
+    verdicts = { table = Verdict_tbl.create 64; net_version = -1; failure_version = -1 };
+  }
+
 let reset_probe_count t = t.probes_sent <- 0
 
 let count t n =
@@ -31,8 +68,7 @@ let responder t ip =
 let reply_delivers t ~from_ ~to_ip =
   Forward.delivers t.net t.failures ~src:from_ ~dst:to_ip
 
-let ping_from t ~src ~src_ip ~dst =
-  count t 1;
+let round_trip t ~src ~src_ip ~dst =
   let request = Forward.walk t.net t.failures ~src ~dst () in
   match request.Forward.outcome with
   | Forward.Delivered -> begin
@@ -42,18 +78,42 @@ let ping_from t ~src ~src_ip ~dst =
     end
   | Forward.No_route _ | Forward.Loop | Forward.Dropped _ -> false
 
-let ping t ~src ~dst = ping_from t ~src ~src_ip:(Forward.probe_address t.net src) ~dst
+(* Empty the memo unless it was filled against this very data plane. *)
+let current_verdicts t =
+  let v = t.verdicts in
+  let net_version = Bgp.Network.dataplane_version t.net in
+  let failure_version = Failure.version t.failures in
+  if
+    (not (Int.equal v.net_version net_version))
+    || not (Int.equal v.failure_version failure_version)
+  then begin
+    Verdict_tbl.reset v.table;
+    v.net_version <- net_version;
+    v.failure_version <- failure_version
+  end;
+  v.table
 
-let spoofed_ping t ~sender ~spoof_src ~dst =
+let ip_key ip = Int32.to_int (Ipv4.to_int32 ip)
+
+(* The verdict is a pure function of the question and the data-plane
+   state the stamp names, so a hit returns exactly what the walk would;
+   the probe is charged either way. *)
+let ping_from t ~src ~src_ip ~dst =
   count t 1;
-  let request = Forward.walk t.net t.failures ~src:sender ~dst () in
-  match request.Forward.outcome with
-  | Forward.Delivered -> begin
-      match responder t dst with
-      | Some responder_as -> reply_delivers t ~from_:responder_as ~to_ip:spoof_src
-      | None -> false
-    end
-  | Forward.No_route _ | Forward.Loop | Forward.Dropped _ -> false
+  let table = current_verdicts t in
+  let q = { q_src = Asn.to_int src; q_src_ip = ip_key src_ip; q_dst = ip_key dst } in
+  match Verdict_tbl.find table q with
+  | ok ->
+      Obs.Metrics.incr m_verdict_hits;
+      ok
+  | exception Not_found ->
+      Obs.Metrics.incr m_verdict_misses;
+      let ok = round_trip t ~src ~src_ip ~dst in
+      Verdict_tbl.add table q ok;
+      ok
+
+let ping t ~src ~dst = ping_from t ~src ~src_ip:(Forward.probe_address t.net src) ~dst
+let spoofed_ping t ~sender ~spoof_src ~dst = ping_from t ~src:sender ~src_ip:spoof_src ~dst
 
 type trace_hop = { hop : Forward.hop; responded : bool }
 

@@ -9,9 +9,19 @@
 
 open Net
 
-type env = { net : Bgp.Network.t; failures : Failure.set; mutable probes_sent : int }
-(** A probing context: the control plane, the active failures and a
-    running count of probe packets. *)
+type verdicts
+(** The env's round-trip ping memo; see {!ping_from}. *)
+
+type env = {
+  net : Bgp.Network.t;
+  failures : Failure.set;
+  mutable probes_sent : int;
+  verdicts : verdicts;
+}
+(** A probing context: the control plane, the active failures, a
+    running count of probe packets and the ping-verdict memo. Build one
+    with {!env}: a copy made with [{ e with net = ... }] or
+    [{ e with failures = ... }] would share the memo of [e]. *)
 
 val env : Bgp.Network.t -> Failure.set -> env
 val reset_probe_count : env -> unit
@@ -27,11 +37,20 @@ val ping : env -> src:Asn.t -> dst:Ipv4.t -> bool
 val ping_from : env -> src:Asn.t -> src_ip:Ipv4.t -> dst:Ipv4.t -> bool
 (** Like {!ping} but the reply is routed to [src_ip] — how LIFEGUARD's
     sentinel tests repairs: probes sourced from the sentinel's unused
-    sub-prefix draw their replies over the unpoisoned sentinel route. *)
+    sub-prefix draw their replies over the unpoisoned sentinel route.
+
+    Every ping primitive lands here. The verdict (request {!Forward.walk},
+    {!responder}, reply {!Forward.delivers}) is memoised per
+    [(src, src_ip, dst)], stamped with {!Bgp.Network.dataplane_version}
+    and {!Failure.version}; the memo empties whenever either moves, so a
+    hit returns exactly what the walks would. The probe is charged (and
+    [meas.probe] traced) on every call; [meas.verdict.hits] and
+    [meas.verdict.misses] count memo use. *)
 
 val spoofed_ping : env -> sender:Asn.t -> spoof_src:Ipv4.t -> dst:Ipv4.t -> bool
 (** [sender] probes [dst] with source address [spoof_src]; true iff the
-    request delivers and the reply delivers to [spoof_src]'s owner. With
+    request delivers and the reply delivers to [spoof_src]'s owner —
+    {!ping_from} with [src = sender], [src_ip = spoof_src]. With
     [spoof_src] at a vantage point this tests the forward direction
     [sender -> dst] in isolation; with the roles swapped it isolates the
     reverse direction. *)

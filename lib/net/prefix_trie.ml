@@ -60,21 +60,26 @@ let find_exact prefix t =
   go t 0
 
 let lookup_bits addr max_len t =
-  (* Walk down following the address bits, remembering the deepest value. *)
-  let rec go t depth best =
-    match t with
-    | Leaf -> best
-    | Node { value; zero; one } ->
-        let best =
-          match value with
-          | Some v -> Some (Prefix.make addr depth, v)
-          | None -> best
-        in
-        if depth >= max_len then best
-        else if bit_at addr depth then go one (depth + 1) best
-        else go zero (depth + 1) best
+  (* Walk down following the address bits, remembering the deepest value
+     (the node's own option, so nothing is allocated on the way) and its
+     depth; the matched prefix is built once, at the end. *)
+  let finish best depth =
+    match best with
+    | Some v -> Some (Prefix.make addr depth, v)
+    | None -> None
   in
-  go t 0 None
+  let rec go t depth best best_depth =
+    match t with
+    | Leaf -> finish best best_depth
+    | Node { value; zero; one } ->
+        let found = Option.is_some value in
+        let best = if found then value else best in
+        let best_depth = if found then depth else best_depth in
+        if depth >= max_len then finish best best_depth
+        else if bit_at addr depth then go one (depth + 1) best best_depth
+        else go zero (depth + 1) best best_depth
+  in
+  go t 0 None 0
 
 let lookup ip t = lookup_bits ip 32 t
 let lookup_prefix prefix t = lookup_bits (Prefix.network prefix) (Prefix.length prefix) t

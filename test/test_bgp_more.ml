@@ -369,8 +369,8 @@ let test_no_damping_without_config () =
    only the revived neighbor; the audit showed that path equivalent to
    the full per-prefix refresh, including when the loc-RIB it exports
    already holds a poison applied moments earlier in the same window —
-   this pins that equivalence, for the fast path and (with flap history
-   forcing {!Bgp.Speaker.damping_pending}) the slow path. *)
+   this pins that equivalence, for the fast path and (with a live
+   suppression forcing {!Bgp.Speaker.damping_pending}) the slow path. *)
 let session_up_poison_run ~damping ~poison_first =
   let config_of _ =
     if damping then
@@ -378,19 +378,25 @@ let session_up_poison_run ~damping ~poison_first =
     else Bgp.Policy.default
   in
   let w = world_of_graph ~config_of (fig2_graph ()) in
+  (* With damping, settle for a bounded time only: running until quiet
+     would also run the reuse timers and lift the suppression below. *)
+  let settle () =
+    if damping then Bgp.Network.run_until_quiet ~timeout:120.0 w.net else converge w
+  in
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
   converge w;
-  if damping then begin
-    (* One clean route flap first — withdraw and re-announce, which lands
-       at E as real Withdraw/Announce updates — so damping records exist
-       (slow path) without suppressing anything yet. *)
-    Bgp.Network.withdraw w.net ~origin:o ~prefix:production;
-    converge w;
-    Bgp.Network.announce w.net ~origin:o ~prefix:production ();
-    converge w
-  end;
+  if damping then
+    (* Three clean route flaps first — withdraw and re-announce, which
+       land at E as real Withdraw/Announce updates — so E's damping
+       records cross into suppression (slow path). *)
+    for _ = 1 to 3 do
+      Bgp.Network.withdraw w.net ~origin:o ~prefix:production;
+      settle ();
+      Bgp.Network.announce w.net ~origin:o ~prefix:production ();
+      settle ()
+    done;
   Bgp.Network.fail_link w.net ~a:e ~b:a;
-  converge w;
+  settle ();
   let poison () =
     Bgp.Network.announce w.net ~origin:o ~prefix:production
       ~per_neighbor:(fun _ -> Some (Bgp.As_path.poisoned ~origin:o ~poison:a))
@@ -407,7 +413,7 @@ let session_up_poison_run ~damping ~poison_first =
   end;
   if damping then
     Alcotest.(check bool)
-      "flap history forces the session_up slow path" true
+      "a live suppression forces the session_up slow path" true
       (Bgp.Speaker.damping_pending (Bgp.Network.speaker w.net e));
   converge w;
   List.map
